@@ -304,22 +304,21 @@ func thresholdLaw(cfg faultcast.Config) string {
 
 func runOnce() {
 	var (
-		graphSpec  = flag.String("graph", "line:16", "graph spec (line:N, grid:RxC, star:N, tree:N:K, layered:M, gnp:N:P, ...)")
-		source     = flag.Int("source", 0, "broadcast source node")
-		model      = flag.String("model", "mp", "communication model: mp | radio")
-		fault      = flag.String("fault", "omission", "fault type: omission | malicious | limited")
-		p          = flag.Float64("p", 0.3, "per-step transmitter failure probability")
-		algo       = flag.String("algo", "auto", "algorithm: auto | simple-omission | simple-malicious | flooding | composed | radio-repeat | timing-bit")
-		adv        = flag.String("adversary", "worst", "malicious strategy: worst | crash | flip | noise")
-		message    = flag.String("message", "1", "source message")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		trials     = flag.Int("trials", 1, "number of Monte-Carlo trials (1 = single traced run)")
-		windowC    = flag.Float64("c", 0, "window constant override (0 = derive from p)")
-		feas       = flag.Bool("feasibility", false, "print the feasibility verdict for this scenario and exit")
-		dot        = flag.Bool("dot", false, "print the graph in DOT format and exit")
-		traceRun   = flag.Bool("trace", false, "print a per-round execution log (single runs only)")
-		concurrent = flag.Bool("concurrent", false, "use the goroutine-per-node engine")
-		full       = flag.Bool("full", false, "run all trials (disable early stopping at the almost-safe target)")
+		graphSpec = flag.String("graph", "line:16", "graph spec (line:N, grid:RxC, star:N, tree:N:K, layered:M, gnp:N:P, ...)")
+		source    = flag.Int("source", 0, "broadcast source node")
+		model     = flag.String("model", "mp", "communication model: mp | radio")
+		fault     = flag.String("fault", "omission", "fault type: omission | malicious | limited")
+		p         = flag.Float64("p", 0.3, "per-step transmitter failure probability")
+		algo      = flag.String("algo", "auto", "algorithm: auto | simple-omission | simple-malicious | flooding | composed | radio-repeat | timing-bit")
+		adv       = flag.String("adversary", "worst", "malicious strategy: worst | crash | flip | noise")
+		message   = flag.String("message", "1", "source message")
+		seed      = flag.Uint64("seed", 1, "random seed")
+		trials    = flag.Int("trials", 1, "number of Monte-Carlo trials (1 = single traced run)")
+		windowC   = flag.Float64("c", 0, "window constant override (0 = derive from p)")
+		feas      = flag.Bool("feasibility", false, "print the feasibility verdict for this scenario and exit")
+		dot       = flag.Bool("dot", false, "print the graph in DOT format and exit")
+		traceRun  = flag.Bool("trace", false, "print a per-round execution log (single runs only)")
+		full      = flag.Bool("full", false, "run all trials (disable early stopping at the almost-safe target)")
 	)
 	flag.Parse()
 
@@ -372,7 +371,6 @@ func runOnce() {
 			*p, faultcast.Threshold(cfg.Model, cfg.Fault, delta))
 	}
 
-	cfg.Concurrent = *concurrent
 	if *trials <= 1 && *traceRun {
 		cfg.Trace = os.Stdout
 	}

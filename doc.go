@@ -59,12 +59,13 @@
 //   - The word-parallel bitset engine core, the scalar reference core, and
 //     the goroutine-per-node engine produce bit-identical executions
 //     (internal/sim's differential test matrix and the public-API face
-//     TestPlanCoresAndEnginesEquivalent) — which is why Config.Concurrent
-//     and Config.ScalarCore are excluded from Config.Fingerprint.
+//     TestPlanCoresAndEnginesEquivalent) — which is why Config.Core, the
+//     one engine selector, is excluded from Config.Fingerprint. The
+//     goroutine-per-node engine is a differential witness, not a choice.
 //   - Estimates are independent of the worker count, early stopping cuts
 //     the seed sequence only at deterministic batch boundaries, and
 //     EstimateFrom visits exactly the seed suffix a one-shot run of the
-//     combined budget would (TestEstimateStreamStopsPrefix,
+//     combined budget would (TestRunMatchesEstimateStream,
 //     TestEstimateFromMatchesEstimate).
 //   - A sweep cell's estimate equals plan.Estimate run cell-by-cell with
 //     the same budget and the cell's derived seed, regardless of worker

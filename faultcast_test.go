@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"faultcast/internal/sim"
 )
 
 func TestThresholds(t *testing.T) {
@@ -358,13 +360,19 @@ func TestRunTraceAndConcurrent(t *testing.T) {
 	if !strings.Contains(sb.String(), "round    0:") {
 		t.Fatalf("trace output missing:\n%s", sb.String())
 	}
+	// The goroutine-per-node engine, run on the compiled engine config,
+	// must agree with the traced public run.
 	cfg.Trace = nil
-	cfg.Concurrent = true
-	conc, err := Run(cfg)
+	plan, err := Compile(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != conc {
+	simCfg := *plan.sim
+	res, err := sim.RunConcurrent(&simCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conc := publicResult(res); seq != conc {
 		t.Fatalf("engines disagree through the public API: %+v vs %+v", seq, conc)
 	}
 }

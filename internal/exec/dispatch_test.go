@@ -96,10 +96,9 @@ func TestLocalDispatcherIsRun(t *testing.T) {
 	}
 }
 
-// synthBlock is the block-trial twin of synthTrial: same per-seed verdict,
+// blockOf is the block-trial twin of trial: the same per-seed verdicts,
 // packed 64 lanes to the word.
-func synthBlock(threshold uint64) stat.TrialBlock {
-	trial := synthTrial(threshold)
+func blockOf(trial stat.Trial) stat.TrialBlock {
 	return func(baseSeed uint64, count int) uint64 {
 		var word uint64
 		for i := 0; i < count; i++ {
@@ -117,7 +116,7 @@ func synthBlock(threshold uint64) stat.TrialBlock {
 // ragged final blocks.
 func TestRunShardBlocksMatchesRunShard(t *testing.T) {
 	newTrial := func() stat.Trial { return synthTrial(1 << 62) }
-	newBlock := func() stat.TrialBlock { return synthBlock(1 << 62) }
+	newBlock := func() stat.TrialBlock { return blockOf(synthTrial(1 << 62)) }
 	cases := []struct{ trials, batch int }{
 		{1, 0}, {70, 1}, {70, 7}, {150, 48}, {128, 64}, {333, 100}, {64, 0},
 	}

@@ -1,17 +1,15 @@
 // Package exec schedules Monte-Carlo trial streams onto one bounded
 // worker pool shared across many concurrent estimation cells.
 //
-// The previous design gave every estimate its own pool: each call to
-// stat.EstimateStream spun up worker goroutines, ran one cell to its
-// stopping point, and tore the pool down — so a parameter sweep over k
-// cells paid k pool lifecycles, and every cell's stragglers (the tail of
-// a batch, the wind-down after an early stop) left all other cells'
-// work waiting. This package inverts that: callers submit all cells at
-// once, a single pool of workers multiplexes across them, and the
-// moment one cell's interval is decided its workers flow to the cells
-// still undecided. Intra-cell work is still batched (stopping decisions
-// happen only at batch boundaries), but batches from different cells
-// interleave freely.
+// This package is the only place boolean trial streams run in parallel.
+// A pool per estimate would make a parameter sweep over k cells pay k
+// pool lifecycles, and leave every cell's stragglers (the tail of a
+// batch, the wind-down after an early stop) holding up all other cells'
+// work. Instead, callers submit all cells at once, a single pool of
+// workers multiplexes across them, and the moment one cell's interval is
+// decided its workers flow to the cells still undecided. Intra-cell work
+// is still batched (stopping decisions happen only at batch boundaries),
+// but batches from different cells interleave freely.
 //
 // Determinism contract — identical to stat.EstimateStreamFrom's: the
 // trials a cell executes are always a prefix of its seed sequence
@@ -201,8 +199,11 @@ func Run(ctx context.Context, workers int, cells []Cell, onDone func(i int, p st
 	return nil
 }
 
-// EstimateCell runs a single cell to completion — the Plan.Estimate path,
-// now just a one-cell schedule on the shared machinery.
+// EstimateCell runs a single cell to completion on the in-process pool —
+// a one-cell schedule for callers that estimate one stream outside a
+// Plan (the harness's hand-built experiments and examples).
+// Plan.EstimateFrom goes through a Dispatcher instead, so a cluster can
+// take its place.
 func EstimateCell(workers int, c Cell) stat.Proportion {
 	var out stat.Proportion
 	// Background context: a lone estimate has no cancellation surface.

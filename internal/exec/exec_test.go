@@ -20,7 +20,9 @@ func fakeTrial(p float64) stat.Trial {
 
 // TestRunMatchesEstimateStream: for a mix of rules, budgets, and resume
 // points, every cell scheduled on the shared pool must produce exactly the
-// Proportion stat.EstimateStreamFrom computes for the same parameters.
+// Proportion the sequential reference stat.EstimateStreamFrom computes for
+// the same parameters. Block cells are held to the same reference by
+// stat's TestEstimate*BlocksMatchesPerTrial.
 func TestRunMatchesEstimateStream(t *testing.T) {
 	type cse struct {
 		max   int
@@ -44,11 +46,11 @@ func TestRunMatchesEstimateStream(t *testing.T) {
 	cells := make([]Cell, len(cases))
 	for i, c := range cases {
 		c := c
-		want[i] = stat.EstimateStreamFrom(c.start, c.max, c.seed, 3, c.rule,
-			func() stat.Trial { return fakeTrial(c.p) })
+		newTrial := func() stat.Trial { return fakeTrial(c.p) }
+		want[i] = stat.EstimateStreamFrom(c.start, c.max, c.seed, c.rule, newTrial)
 		cells[i] = Cell{
 			MaxTrials: c.max, BaseSeed: c.seed, Start: c.start, Rule: c.rule,
-			NewTrial: func() stat.Trial { return fakeTrial(c.p) },
+			NewTrial: newTrial,
 		}
 	}
 	for _, workers := range []int{1, 2, 7} {
@@ -218,7 +220,7 @@ func TestEstimateCell(t *testing.T) {
 	if p.Trials != 400 {
 		t.Fatalf("ran %d/400 trials", p.Trials)
 	}
-	want := stat.EstimateStream(400, 9, 2, stat.StopRule{}, func() stat.Trial { return fakeTrial(0.25) })
+	want := stat.EstimateStreamFrom(stat.Proportion{}, 400, 9, stat.StopRule{}, func() stat.Trial { return fakeTrial(0.25) })
 	if p != want {
 		t.Fatalf("EstimateCell %+v != stream %+v", p, want)
 	}

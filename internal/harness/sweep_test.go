@@ -14,9 +14,9 @@ import (
 // TestSweepMatchesHandRolledLoop is the port's value-identity proof: the
 // E1-shaped grid run through runSweep must produce, cell for cell, the
 // exact estimates of the pre-refactor hand-rolled loop — a fresh
-// sim.Config + protocol per cell, its own stat.EstimateStream pool, the
-// same stopping rule — when that loop is given the same derived base
-// seeds. Holding seeds fixed isolates the refactor: any divergence would
+// sim.Config + protocol per cell, its own sequential estimation stream
+// (stat.EstimateStreamFrom), the same stopping rule — when that loop is
+// given the same derived base seeds. Holding seeds fixed isolates the refactor: any divergence would
 // be a scheduling or batching change, not a seeding one.
 func TestSweepMatchesHandRolledLoop(t *testing.T) {
 	o := Options{Quick: true, Trials: 60, Seed: 0x5eed}.withDefaults()
@@ -51,7 +51,7 @@ func TestSweepMatchesHandRolledLoop(t *testing.T) {
 				// per-cell estimation pool, stop on the 1.3×-widened band.
 				proto := simpleomission.New(ng.g, ng.src, model, omissionWindowC(p))
 				target := almostSafe(ng.g.N())
-				want := stat.EstimateStream(o.Trials, sp.Cells()[i].Config.Seed, 0,
+				want := stat.EstimateStreamFrom(stat.Proportion{}, o.Trials, sp.Cells()[i].Config.Seed,
 					stat.StopRule{Target: target, UseTarget: true, Z: 1.96 * 1.3},
 					func() stat.Trial {
 						r := newRunner(&sim.Config{

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"testing"
 	"time"
@@ -299,6 +300,11 @@ func TestStatsLatencyHistograms(t *testing.T) {
 	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
 		bytes.NewReader([]byte(`{"graphs":["line:8"],"ps":[0.2],"trials":64}`)))
 	if err != nil {
+		t.Fatal(err)
+	}
+	// Drain the streamed body: its end arrives only after the handler —
+	// and its deferred latency observation — has returned.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()

@@ -74,8 +74,8 @@ type EstimateResponse struct {
 	Rounds int `json:"rounds"`
 	N      int `json:"n"`
 	// Core names the estimation engine the plan selects for this scenario
-	// ("lanes", "bitset", "scalar", or "concurrent"). Cached and coalesced
-	// answers echo the core that originally computed the estimate.
+	// ("lanes", "bitset", or "scalar"). Cached and coalesced answers echo
+	// the core that originally computed the estimate.
 	Core string `json:"core"`
 	// Served says how the answer was produced: "simulated" (fresh run),
 	// "refined" (cached estimate topped up), "cache" (cached estimate

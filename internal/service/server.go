@@ -195,10 +195,9 @@ type counters struct {
 
 	// Per-core execution counters: which engine (Plan.EstimationCore)
 	// actually simulated, across estimates, sweep cells, and shards.
-	coreLanes      atomic.Uint64
-	coreBitset     atomic.Uint64
-	coreScalar     atomic.Uint64
-	coreConcurrent atomic.Uint64
+	coreLanes  atomic.Uint64
+	coreBitset atomic.Uint64
+	coreScalar atomic.Uint64
 }
 
 // countCore bumps the execution counter of the named estimation core.
@@ -208,8 +207,6 @@ func (c *counters) countCore(core string) {
 		c.coreLanes.Add(1)
 	case "scalar":
 		c.coreScalar.Add(1)
-	case "concurrent":
-		c.coreConcurrent.Add(1)
 	default:
 		c.coreBitset.Add(1)
 	}
@@ -747,10 +744,9 @@ func (s *Server) Stats() Stats {
 		StoreHits:          s.c.storeHits.Load(),
 		StoreRefines:       s.c.storeRefines.Load(),
 		ExecutionsByCore: map[string]uint64{
-			"lanes":      s.c.coreLanes.Load(),
-			"bitset":     s.c.coreBitset.Load(),
-			"scalar":     s.c.coreScalar.Load(),
-			"concurrent": s.c.coreConcurrent.Load(),
+			"lanes":  s.c.coreLanes.Load(),
+			"bitset": s.c.coreBitset.Load(),
+			"scalar": s.c.coreScalar.Load(),
 		},
 		Latency: map[string]hist.Summary{
 			"estimate": s.lat.estimate.Snapshot().Summarize(),

@@ -149,8 +149,8 @@ func TestEstimateCoreField(t *testing.T) {
 	if st.ExecutionsByCore["lanes"] != 1 || st.ExecutionsByCore["bitset"] != 1 {
 		t.Fatalf("per-core execution counters: %+v", st.ExecutionsByCore)
 	}
-	if st.ExecutionsByCore["scalar"] != 0 || st.ExecutionsByCore["concurrent"] != 0 {
-		t.Fatalf("unexpected scalar/concurrent executions: %+v", st.ExecutionsByCore)
+	if st.ExecutionsByCore["scalar"] != 0 {
+		t.Fatalf("unexpected scalar executions: %+v", st.ExecutionsByCore)
 	}
 }
 

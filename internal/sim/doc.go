@@ -14,8 +14,9 @@
 // cached adjacency bitset rows, and the radio collision rule ("heard iff
 // silent and exactly one neighbor transmits") is computed with
 // seen-once/seen-twice accumulator sets. The pre-bitset scalar
-// implementation is retained behind Config.ScalarCore as the reference
-// semantics — not a tuning knob, a falsifier.
+// implementation is retained behind Config.ScalarCore (faultcast's public
+// Config.Core = CoreScalar lowers to it) as the reference semantics — not
+// a tuning knob, a falsifier.
 //
 // Trial streams (many seeds, one configuration) should use a Runner,
 // which validates the configuration once and rewinds a single execution

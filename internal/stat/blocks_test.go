@@ -1,6 +1,17 @@
-package stat
+package stat_test
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"faultcast/internal/exec"
+	"faultcast/internal/stat"
+)
+
+// The block-trial contract lives in stat (TrialBlock, TrialBlockMaker,
+// BlockWidth) while the one pool that claims blocks lives in exec, so
+// these tests sit in an external test package: they run exec's pool on
+// block trials and hold it to stat's sequential per-trial reference.
 
 // verdict is the shared deterministic per-seed oracle the block and
 // per-trial fakes both compute, so any disagreement between the two
@@ -11,11 +22,11 @@ func verdict(seed uint64) bool {
 	return x%5 < 2
 }
 
-func fakeTrial() Trial {
+func fakeTrial() stat.Trial {
 	return func(seed uint64) bool { return verdict(seed) }
 }
 
-func fakeBlock() TrialBlock {
+func fakeBlock() stat.TrialBlock {
 	return func(baseSeed uint64, count int) uint64 {
 		var word uint64
 		for i := 0; i < count; i++ {
@@ -27,34 +38,49 @@ func fakeBlock() TrialBlock {
 	}
 }
 
-func TestEstimateWithBlocksMatchesPerTrial(t *testing.T) {
-	// Trial counts straddling block boundaries: sub-block, exact multiples,
-	// and ragged tails.
-	for _, trials := range []int{1, 7, 63, 64, 65, 128, 130, 1000} {
-		want := EstimateWith(trials, 42, 4, fakeTrial)
-		got := EstimateWithBlocks(trials, 42, 4, fakeBlock)
+// checkBlocks runs cell once per worker count with block trials and fails
+// unless every run equals the per-trial sequential reference.
+func checkBlocks(t *testing.T, cell exec.Cell) {
+	t.Helper()
+	want := stat.EstimateStreamFrom(cell.Start, cell.MaxTrials, cell.BaseSeed, cell.Rule, fakeTrial)
+	cell.NewTrial = fakeTrial
+	cell.NewBlock = fakeBlock
+	for _, workers := range []int{1, 2, 7} {
+		var got stat.Proportion
+		if err := exec.Run(context.Background(), workers, []exec.Cell{cell},
+			func(_ int, p stat.Proportion) { got = p }); err != nil {
+			t.Fatal(err)
+		}
 		if got != want {
-			t.Fatalf("trials=%d: blocks %+v, per-trial %+v", trials, got, want)
+			t.Fatalf("max=%d rule=%+v start=%+v workers=%d: blocks %+v, per-trial %+v",
+				cell.MaxTrials, cell.Rule, cell.Start, workers, got, want)
 		}
 	}
 }
 
+func TestEstimateWithBlocksMatchesPerTrial(t *testing.T) {
+	// Trial counts straddling block boundaries: sub-block, exact multiples,
+	// and ragged tails.
+	for _, trials := range []int{1, 7, 63, 64, 65, 128, 130, 1000} {
+		checkBlocks(t, exec.Cell{MaxTrials: trials, BaseSeed: 42})
+	}
+}
+
 func TestEstimateStreamFromBlocksMatchesPerTrial(t *testing.T) {
-	rules := []StopRule{
+	// Block claims clip at batch boundaries, so the totals must match for
+	// batches smaller than, equal to and straddling a block, and from a
+	// resume point that leaves every claim unaligned.
+	rules := []stat.StopRule{
 		{}, // disabled: straight run
 		{Target: 0.4, UseTarget: true, Batch: 10},        // batches smaller than a block
 		{Target: 0.4, UseTarget: true, Batch: 100},       // batches straddling blocks
-		{HalfWidth: 0.001, Batch: 64},                    // unreachable: runs to maxTrials
+		{HalfWidth: 0.001, Batch: 64},                    // unreachable: runs to MaxTrials
 		{Target: 0.4, UseTarget: true, Z: 30, Batch: 48}, // wide band: never decided
 	}
-	starts := []Proportion{{}, {Trials: 37, Successes: 11}}
+	starts := []stat.Proportion{{}, {Trials: 37, Successes: 11}}
 	for _, rule := range rules {
 		for _, start := range starts {
-			want := EstimateStreamFrom(start, 500, 7, 3, rule, fakeTrial)
-			got := EstimateStreamFromBlocks(start, 500, 7, 3, rule, fakeBlock)
-			if got != want {
-				t.Fatalf("rule=%+v start=%+v: blocks %+v, per-trial %+v", rule, start, got, want)
-			}
+			checkBlocks(t, exec.Cell{MaxTrials: 500, BaseSeed: 7, Start: start, Rule: rule})
 		}
 	}
 }

@@ -1,18 +1,21 @@
 // Package stat provides the statistical machinery of the experiment
-// harness and the serving layer: Monte-Carlo success-rate estimation with
-// Wilson confidence intervals, binomial/Chernoff tail helpers (also used
-// by the Kučera composition calculus), the radio feasibility threshold
-// solver, least-squares fits for scaling experiments, and the streaming
-// estimator (EstimateStream / EstimateStreamFrom) with deterministic
-// early stopping and resumption.
+// harness and the serving layer: Wilson confidence intervals, the
+// early-stopping rule (StopRule), the mergeable per-batch Tally with its
+// Replay, binomial/Chernoff tail helpers (also used by the Kučera
+// composition calculus), the radio feasibility threshold solver, and
+// least-squares fits for scaling experiments.
+//
+// The trial types (Trial, TrialBlock and their makers) are defined here,
+// but parallel estimation lives in internal/exec, the one worker pool.
+// This package keeps only the sequential reference loops Estimate and
+// EstimateStreamFrom, which exec's tests use as their oracle.
 //
 // # Invariants
 //
 //   - Estimates are a deterministic function of (maxTrials, baseSeed,
-//     rule) — never of the worker count or scheduling: trials are
-//     assigned seeds baseSeed+i and stopping is checked only at fixed
-//     batch boundaries (TestEstimateStreamStopsPrefix verifies the
-//     executed prefix and its worker-count independence).
+//     rule): trials are assigned seeds baseSeed+i and stopping is checked
+//     only at fixed batch boundaries, so the executed trials are always a
+//     prefix of the seed sequence (TestEstimateStreamStopsPrefix).
 //   - Resuming a stream from a prior Proportion visits exactly the seed
 //     suffix a one-shot run of the combined budget would, and a start
 //     that already satisfies the rule runs zero trials

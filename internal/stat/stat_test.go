@@ -164,25 +164,6 @@ func TestProportionEmpty(t *testing.T) {
 	}
 }
 
-func TestEstimateDeterministicAcrossParallelism(t *testing.T) {
-	trial := func(seed uint64) bool { return seed%3 == 0 }
-	a := EstimateParallel(1000, 5, 1, trial)
-	b := EstimateParallel(1000, 5, 8, trial)
-	if a != b {
-		t.Fatalf("parallelism changed the estimate: %v vs %v", a, b)
-	}
-	// seeds 5..1004: multiples of 3 in that range.
-	want := 0
-	for s := uint64(5); s < 1005; s++ {
-		if s%3 == 0 {
-			want++
-		}
-	}
-	if a.Successes != want {
-		t.Fatalf("successes = %d, want %d", a.Successes, want)
-	}
-}
-
 func TestEstimateRunsAllTrials(t *testing.T) {
 	var calls atomic.Int64
 	Estimate(257, 0, func(seed uint64) bool {

@@ -1,11 +1,5 @@
 package stat
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
 // StopRule configures optional early stopping for a streaming estimate.
 // The zero value never stops early (all requested trials run).
 //
@@ -64,94 +58,41 @@ func (r StopRule) Done(p Proportion) bool {
 	return false
 }
 
-// EstimateStream runs up to maxTrials independent trials with seeds
-// baseSeed+0, baseSeed+1, ... and stops early once rule is satisfied. The
-// trials that execute are always the prefix of the seed sequence whose
-// length is a multiple of the batch size (or maxTrials), so the returned
-// Proportion is reproducible regardless of parallelism.
-//
-// newTrial is called once per worker; per-worker state persists across all
-// batches of the stream. workers <= 0 selects GOMAXPROCS.
-func EstimateStream(maxTrials int, baseSeed uint64, workers int, rule StopRule, newTrial TrialMaker) Proportion {
-	return EstimateStreamFrom(Proportion{}, maxTrials, baseSeed, workers, rule, newTrial)
-}
-
-// EstimateStreamFrom resumes a stream from an earlier estimate: start is
-// taken to be the outcome of trials with seeds baseSeed+0 ..
-// baseSeed+start.Trials-1, new trials continue the seed sequence at
-// baseSeed+start.Trials, and the combined Proportion is returned once it
-// satisfies rule or reaches maxTrials total trials. If start already
+// EstimateStreamFrom is the sequential reference estimator. It runs up to
+// maxTrials trials with seeds baseSeed+start.Trials, baseSeed+start.Trials+1,
+// ... on one Trial built by newTrial, checks rule after every batch of
+// rule.Batch trials, and returns the combined Proportion once it satisfies
+// rule or reaches maxTrials total trials. start is taken to be the outcome
+// of trials baseSeed+0 .. baseSeed+start.Trials-1. If start already
 // satisfies the rule (or start.Trials >= maxTrials), it is returned
-// unchanged and no trials run — the "cached estimate already good enough"
-// fast path of the serving layer. Resuming is how a cached estimate is
-// topped up to a tighter band for only the marginal trial cost.
+// unchanged and no trial is built or run — the "cached estimate already
+// good enough" fast path of the serving layer.
 //
-// Resumption preserves the determinism contract: the executed trials are
-// always a prefix of the seed sequence, and topping up in several steps
-// visits the same seeds as one large run (stopping decisions are made at
-// the resumption points in addition to batch boundaries, so a resumed
-// stream may stop at start.Trials + k·batch rather than a global batch
-// multiple).
-func EstimateStreamFrom(start Proportion, maxTrials int, baseSeed uint64, workers int, rule StopRule, newTrial TrialMaker) Proportion {
+// The executed trials are always a prefix of the seed sequence, and
+// topping up in several steps visits the same seeds as one large run
+// (stopping decisions are made at the resumption points in addition to
+// batch boundaries, so a resumed stream may stop at start.Trials + k·batch
+// rather than a global batch multiple). internal/exec's pool honors the
+// same contract with any number of workers; this loop is its oracle.
+func EstimateStreamFrom(start Proportion, maxTrials int, baseSeed uint64, rule StopRule, newTrial TrialMaker) Proportion {
 	p := start
-	if p.Trials >= maxTrials || (rule.Enabled() && rule.Done(p)) {
+	if p.Trials >= maxTrials || rule.Done(p) {
 		return p
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > maxTrials-p.Trials {
-		workers = maxTrials - p.Trials
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if !rule.Enabled() {
-		rest := EstimateWith(maxTrials-p.Trials, baseSeed+uint64(p.Trials), workers, newTrial)
-		p.Trials += rest.Trials
-		p.Successes += rest.Successes
-		return p
-	}
-	batch := rule.Batch
-	if batch <= 0 {
-		batch = 32
-	}
-	if workers > batch {
-		workers = batch // a batch can't occupy more workers than trials
-	}
-	trials := make([]Trial, workers)
-	for w := range trials {
-		trials[w] = newTrial()
-	}
-	for {
-		b := batch
-		if rest := maxTrials - p.Trials; b > rest {
-			b = rest
-		}
-		end := int64(p.Trials + b)
-		var next, succ atomic.Int64
-		next.Store(int64(p.Trials))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(trial Trial) {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= end {
-						return
-					}
-					if trial(baseSeed + uint64(i)) {
-						succ.Add(1)
-					}
-				}
-			}(trials[w])
-		}
-		wg.Wait()
-		p.Trials += b
-		p.Successes += int(succ.Load())
-		if p.Trials >= maxTrials || rule.Done(p) {
-			return p
+	batch := maxTrials // no rule: one batch, no stop checks
+	if rule.Enabled() {
+		batch = rule.Batch
+		if batch <= 0 {
+			batch = 32
 		}
 	}
+	trial := newTrial()
+	for p.Trials < maxTrials && !rule.Done(p) {
+		for end := min(p.Trials+batch, maxTrials); p.Trials < end; p.Trials++ {
+			if trial(baseSeed + uint64(p.Trials)) {
+				p.Successes++
+			}
+		}
+	}
+	return p
 }

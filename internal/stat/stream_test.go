@@ -20,8 +20,13 @@ func coinTrial(p float64) Trial {
 
 func TestEstimateStreamNoRuleMatchesEstimate(t *testing.T) {
 	trial := coinTrial(0.7)
-	want := EstimateParallel(500, 99, 4, trial)
-	got := EstimateStream(500, 99, 4, StopRule{}, func() Trial { return trial })
+	want := Proportion{Trials: 500}
+	for i := uint64(0); i < 500; i++ {
+		if trial(99 + i) {
+			want.Successes++
+		}
+	}
+	got := EstimateStreamFrom(Proportion{}, 500, 99, StopRule{}, func() Trial { return trial })
 	if got != want {
 		t.Fatalf("stream %+v != plain %+v", got, want)
 	}
@@ -34,7 +39,7 @@ func TestEstimateStreamStopsPrefix(t *testing.T) {
 	trial := coinTrial(0.99)
 	rule := StopRule{Target: 0.5, UseTarget: true, Batch: 64}
 	const max = 100000
-	got := EstimateStream(max, 7, 3, rule, func() Trial { return trial })
+	got := EstimateStreamFrom(Proportion{}, max, 7, rule, func() Trial { return trial })
 	if got.Trials >= max {
 		t.Fatalf("never stopped: %+v", got)
 	}
@@ -50,17 +55,12 @@ func TestEstimateStreamStopsPrefix(t *testing.T) {
 	if succ != got.Successes {
 		t.Fatalf("prefix successes %d != reported %d", succ, got.Successes)
 	}
-	// Worker count must not change the outcome.
-	again := EstimateStream(max, 7, 11, rule, func() Trial { return trial })
-	if again != got {
-		t.Fatalf("worker count changed outcome: %+v vs %+v", again, got)
-	}
 }
 
 func TestEstimateStreamHalfWidth(t *testing.T) {
 	trial := coinTrial(0.5)
 	rule := StopRule{HalfWidth: 0.1, Batch: 32}
-	got := EstimateStream(100000, 3, 2, rule, func() Trial { return trial })
+	got := EstimateStreamFrom(Proportion{}, 100000, 3, rule, func() Trial { return trial })
 	lo, hi := got.Wilson(1.96)
 	if got.Trials >= 100000 {
 		t.Fatalf("half-width rule never stopped: %+v", got)
@@ -75,32 +75,9 @@ func TestEstimateStreamHalfWidth(t *testing.T) {
 func TestEstimateStreamUndecidedRunsAll(t *testing.T) {
 	trial := coinTrial(0.5)
 	rule := StopRule{Target: 0.5, UseTarget: true, Batch: 50}
-	got := EstimateStream(400, 1, 2, rule, func() Trial { return trial })
+	got := EstimateStreamFrom(Proportion{}, 400, 1, rule, func() Trial { return trial })
 	if got.Trials != 400 {
 		t.Fatalf("pinned stream stopped early: %+v", got)
-	}
-}
-
-// TestEstimateWithPerWorkerState: each worker must get its own Trial, and
-// every requested trial must run exactly once.
-func TestEstimateWithPerWorkerState(t *testing.T) {
-	var makers atomic.Int64
-	var runs atomic.Int64
-	p := EstimateWith(200, 0, 4, func() Trial {
-		makers.Add(1)
-		return func(seed uint64) bool {
-			runs.Add(1)
-			return seed%2 == 0
-		}
-	})
-	if makers.Load() != 4 {
-		t.Fatalf("newTrial called %d times, want 4", makers.Load())
-	}
-	if runs.Load() != 200 || p.Trials != 200 {
-		t.Fatalf("ran %d trials, proportion %+v", runs.Load(), p)
-	}
-	if p.Successes != 100 {
-		t.Fatalf("even-seed successes = %d, want 100", p.Successes)
 	}
 }
 
@@ -112,27 +89,27 @@ func TestEstimateStreamFromResume(t *testing.T) {
 	trial := coinTrial(0.7)
 	mk := func() Trial { return trial }
 
-	full := EstimateStream(1000, 42, 4, StopRule{}, mk)
-	part := EstimateStream(300, 42, 4, StopRule{}, mk)
-	resumed := EstimateStreamFrom(part, 1000, 42, 4, StopRule{}, mk)
+	full := EstimateStreamFrom(Proportion{}, 1000, 42, StopRule{}, mk)
+	part := EstimateStreamFrom(Proportion{}, 300, 42, StopRule{}, mk)
+	resumed := EstimateStreamFrom(part, 1000, 42, StopRule{}, mk)
 	if resumed != full {
 		t.Fatalf("resumed %+v != one-shot %+v", resumed, full)
 	}
 
 	rule := StopRule{HalfWidth: 0.08, Batch: 32}
-	ruleFull := EstimateStream(100000, 42, 4, rule, mk)
-	rulePart := EstimateStream(96, 42, 4, StopRule{}, mk) // 96 = 3 batches
-	ruleResumed := EstimateStreamFrom(rulePart, 100000, 42, 4, rule, mk)
+	ruleFull := EstimateStreamFrom(Proportion{}, 100000, 42, rule, mk)
+	rulePart := EstimateStreamFrom(Proportion{}, 96, 42, StopRule{}, mk) // 96 = 3 batches
+	ruleResumed := EstimateStreamFrom(rulePart, 100000, 42, rule, mk)
 	if ruleResumed != ruleFull {
 		t.Fatalf("rule-resumed %+v != rule one-shot %+v", ruleResumed, ruleFull)
 	}
 
 	var makers atomic.Int64
 	counting := func() Trial { makers.Add(1); return trial }
-	if got := EstimateStreamFrom(ruleFull, 100000, 42, 4, rule, counting); got != ruleFull {
+	if got := EstimateStreamFrom(ruleFull, 100000, 42, rule, counting); got != ruleFull {
 		t.Fatalf("satisfied start changed: %+v != %+v", got, ruleFull)
 	}
-	if got := EstimateStreamFrom(full, 1000, 42, 4, StopRule{}, counting); got != full {
+	if got := EstimateStreamFrom(full, 1000, 42, StopRule{}, counting); got != full {
 		t.Fatalf("exhausted budget changed: %+v != %+v", got, full)
 	}
 	if makers.Load() != 0 {

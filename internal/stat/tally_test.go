@@ -58,7 +58,7 @@ func TestReplayMatchesStream(t *testing.T) {
 				const maxTrials = 1000
 				trial := hashTrial(3 << 61) // ≈ 0.75 success rate, near the target
 				maker := func() Trial { return trial }
-				want := EstimateStreamFrom(start, maxTrials, 99, 4, rule, maker)
+				want := EstimateStreamFrom(start, maxTrials, 99, rule, maker)
 
 				shardTr := shardBatches * batch
 				if !rule.Enabled() {

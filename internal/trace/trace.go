@@ -3,9 +3,9 @@
 //
 // Per-round observation is a round-engine feature. The word-parallel
 // bitset engine, the scalar reference engine (sim.Run with
-// Config.ScalarCore), and the goroutine-per-node concurrent engine
-// (sim.RunConcurrent) all invoke Config.Observer after every round with
-// an identical RoundRecord — observers see the same stream whichever
+// sim.Config.ScalarCore, public Core=scalar), and the goroutine-per-node
+// concurrent engine (sim.RunConcurrent) all invoke Config.Observer after
+// every round with an identical RoundRecord — observers see the same stream whichever
 // round core runs the trial. The lane-transposed trial-parallel core
 // (sim.LaneRunner) packs 64 trials into each machine word and never
 // materializes per-round records, so estimation on Core=lanes does not

@@ -400,10 +400,6 @@ func TestCoreLanesUnsupported(t *testing.T) {
 			},
 			want: "out of turn",
 		},
-		"concurrent": {
-			cfg:  func() Config { c := base; c.Adversary = CrashAdv; c.Concurrent = true; return c }(),
-			want: "Concurrent",
-		},
 	}
 	for name, tc := range cases {
 		cfg := tc.cfg
@@ -420,8 +416,7 @@ func TestCoreLanesUnsupported(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: CoreAuto: %v", name, err)
 		}
-		// … without a lane block maker (concurrent keeps its lowering but
-		// must not use it).
+		// … without a lane block maker.
 		if plan.newBlockMaker() != nil {
 			t.Errorf("%s: CoreAuto plan unexpectedly built a lane block maker", name)
 		}

@@ -2,7 +2,6 @@ package faultcast
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"faultcast/internal/exec"
@@ -16,10 +15,11 @@ import (
 // Config — protocol construction (including the Kučera composition plan,
 // the BFS spanning tree, and the greedy radio schedule), the adversary,
 // and the round horizon — performed once, so that many Monte-Carlo trials
-// can run without repeating any of it. Trials execute on the engine's
-// word-parallel bitset core (Config.ScalarCore selects the scalar
-// reference core, Config.Concurrent the goroutine-per-node engine; both
-// are bit-identical to the default, and the differential tests prove it).
+// can run without repeating any of it. Config.Core picks the core the
+// trials execute on: the lane-transposed trial-parallel core for
+// estimates when the scenario has a lane lowering, the word-parallel
+// bitset round core otherwise, or the scalar reference round core under
+// CoreScalar. All are bit-identical, and the differential tests prove it.
 //
 // Compile once per scenario, then call Run per trial or Estimate per
 // sweep point. A Plan is immutable after Compile and safe for concurrent
@@ -47,14 +47,9 @@ func Compile(cfg Config) (*Plan, error) {
 	}
 	switch cfg.Core {
 	case CoreAuto, CoreLanes:
-		if cfg.Core == CoreLanes {
-			if lanes == nil {
-				return nil, fmt.Errorf("faultcast: Core=lanes unsupported here: %s (algorithm %s, adversary %s, message %q)",
-					laneGate, cfg.Algorithm, cfg.Adversary, cfg.Message)
-			}
-			if cfg.Concurrent {
-				return nil, errors.New("faultcast: Core=lanes is incompatible with Concurrent (the goroutine-per-node engine has no trial-parallel form)")
-			}
+		if cfg.Core == CoreLanes && lanes == nil {
+			return nil, fmt.Errorf("faultcast: Core=lanes unsupported here: %s (algorithm %s, adversary %s, message %q)",
+				laneGate, cfg.Algorithm, cfg.Adversary, cfg.Message)
 		}
 		if lanes != nil {
 			if err := lanes.Validate(); err != nil {
@@ -93,8 +88,8 @@ func (p *Plan) AlmostSafeTarget() float64 {
 // Run executes one trial of the compiled scenario with the given seed. It
 // is bit-identical to the one-shot Run with the same Config and seed, and
 // repeated calls with the same seed return identical results (no state
-// leaks between trials). Config.Concurrent selects the goroutine-per-node
-// engine; Config.Trace, if set, receives this run's per-round log.
+// leaks between trials). Config.Trace, if set, receives this run's
+// per-round log.
 func (p *Plan) Run(seed uint64) (Result, error) {
 	simCfg := *p.sim
 	simCfg.Seed = seed
@@ -102,11 +97,7 @@ func (p *Plan) Run(seed uint64) (Result, error) {
 		logger := &trace.Logger{W: p.cfg.Trace}
 		simCfg.Observer = logger.Observe
 	}
-	engine := sim.Run
-	if p.cfg.Concurrent {
-		engine = sim.RunConcurrent
-	}
-	res, err := engine(&simCfg)
+	res, err := sim.Run(&simCfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -235,10 +226,6 @@ func WithBatchProbe(f func(exec.BatchStat)) EstimateOption {
 // 95% Wilson interval. Each sequential worker reuses one engine state for
 // its whole trial stream, so per-trial cost is simulation only — no plan
 // rebuilding, no state reallocation.
-//
-// Config.Concurrent is honored: when set, every trial runs on the
-// goroutine-per-node reference engine. Results are bit-identical to the
-// sequential engine's, but slower — use it to cross-check, not to sweep.
 //
 // With a stopping option (WithTarget, WithAlmostSafeTarget,
 // WithHalfWidth), the estimate stops early once decided; Estimate.Trials
@@ -375,16 +362,14 @@ func (p *Plan) TallyShard(baseSeed uint64, trials, batch, workers int) ShardTall
 // EstimationCore reports which execution core this plan's estimation
 // paths (Estimate, EstimateFrom, TallyShard) run trials on: "lanes" (the
 // trial-parallel lane-transposed core), "bitset" (the word-parallel round
-// core), "scalar" (the scalar reference round core), or "concurrent" (the
-// goroutine-per-node reference engine). The choice is a pure function of
-// the compiled plan — results are bit-identical across cores; this is the
-// observability hook the serving layer reports per response.
+// core), or "scalar" (the scalar reference round core). The choice is a
+// pure function of the compiled plan — results are bit-identical across
+// cores; this is the observability hook the serving layer reports per
+// response.
 func (p *Plan) EstimationCore() string {
 	switch {
 	case p.newBlockMaker() != nil:
 		return "lanes"
-	case p.cfg.Concurrent:
-		return "concurrent"
 	case p.sim.ScalarCore:
 		return "scalar"
 	default:
@@ -393,22 +378,8 @@ func (p *Plan) EstimationCore() string {
 }
 
 // newTrialMaker returns the per-worker trial constructor for this plan:
-// a reusable engine Runner per worker (the fast path), or the
-// goroutine-per-node reference engine when Config.Concurrent is set.
+// a reusable engine Runner per worker, on the round core Compile chose.
 func (p *Plan) newTrialMaker() stat.TrialMaker {
-	if p.cfg.Concurrent {
-		return func() stat.Trial {
-			return func(seed uint64) bool {
-				simCfg := *p.sim
-				simCfg.Seed = seed
-				res, err := sim.RunConcurrent(&simCfg)
-				if err != nil {
-					panic(fmt.Sprintf("faultcast: estimate trial: %v", err))
-				}
-				return res.Success
-			}
-		}
-	}
 	return func() stat.Trial {
 		runner, err := sim.NewRunner(p.sim)
 		if err != nil {
@@ -427,10 +398,9 @@ func (p *Plan) newTrialMaker() stat.TrialMaker {
 // newBlockMaker returns the per-worker block-trial constructor for this
 // plan — a reusable lane-transposed runner per worker, computing 64
 // trials per call with verdicts bit-identical to newTrialMaker's — or nil
-// when the plan has no lane lowering or an explicit engine selection
-// (Concurrent, ScalarCore) asks for the round engines.
+// when the plan has no lane lowering or Config.Core asks for a round core.
 func (p *Plan) newBlockMaker() stat.TrialBlockMaker {
-	if p.lanes == nil || p.cfg.Concurrent || p.cfg.ScalarCore {
+	if p.lanes == nil {
 		return nil
 	}
 	spec := p.lanes

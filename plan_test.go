@@ -2,6 +2,8 @@ package faultcast
 
 import (
 	"testing"
+
+	"faultcast/internal/sim"
 )
 
 // planScenarios enumerates one configuration per (model × fault ×
@@ -94,37 +96,46 @@ func TestPlanRunMatchesOneShot(t *testing.T) {
 // paper's real protocols, not test fixtures — the word-parallel bitset
 // core, the scalar reference core, and the goroutine-per-node engine must
 // produce identical public Results on identical seeds. This is the
-// public-API face of the engine's differential-equivalence matrix.
+// public-API face of the engine's differential-equivalence matrix. The
+// goroutine-per-node engine is a witness, not a selectable core, so its
+// arms run sim.RunConcurrent on a copy of the compiled engine config.
 func TestPlanCoresAndEnginesEquivalent(t *testing.T) {
 	for name, cfg := range planScenarios() {
 		t.Run(name, func(t *testing.T) {
-			variants := map[string]Config{}
-			scalar := cfg
-			scalar.ScalarCore = true
-			variants["scalar-core"] = scalar
-			conc := cfg
-			conc.Concurrent = true
-			variants["concurrent-engine"] = conc
-			concScalar := cfg
-			concScalar.Concurrent = true
-			concScalar.ScalarCore = true
-			variants["concurrent-scalar"] = concScalar
-
 			plan, err := Compile(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for vname, vcfg := range variants {
-				vplan, err := Compile(vcfg)
-				if err != nil {
-					t.Fatalf("%s: %v", vname, err)
+			scalarCfg := cfg
+			scalarCfg.Core = CoreScalar
+			scalar, err := Compile(scalarCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			concurrent := func(scalarCore bool) func(uint64) (Result, error) {
+				return func(seed uint64) (Result, error) {
+					simCfg := *plan.sim
+					simCfg.Seed = seed
+					simCfg.ScalarCore = scalarCore
+					res, err := sim.RunConcurrent(&simCfg)
+					if err != nil {
+						return Result{}, err
+					}
+					return publicResult(res), nil
 				}
+			}
+			variants := map[string]func(uint64) (Result, error){
+				"scalar-core":       scalar.Run,
+				"concurrent-engine": concurrent(false),
+				"concurrent-scalar": concurrent(true),
+			}
+			for vname, run := range variants {
 				for seed := uint64(1); seed <= 3; seed++ {
 					want, err := plan.Run(seed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := vplan.Run(seed)
+					got, err := run(seed)
 					if err != nil {
 						t.Fatalf("%s seed %d: %v", vname, seed, err)
 					}
@@ -195,34 +206,6 @@ func TestPlanEstimateMatchesPerTrialRuns(t *testing.T) {
 			t.Fatalf("workers=%d: estimate %d/%d, per-trial runs %d/%d",
 				workers, est.Succeeds, est.Trials, wantSucc, trials)
 		}
-	}
-}
-
-// TestPlanEstimateHonorsConcurrent: with Config.Concurrent set the
-// estimate must use the goroutine-per-node engine — whose results are
-// bit-identical — so the two estimates must agree exactly.
-func TestPlanEstimateHonorsConcurrent(t *testing.T) {
-	cfg := planScenarios()["mp/omission/flooding"]
-	cfg.Seed = 9
-	seqPlan, err := Compile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Concurrent = true
-	concPlan, err := Compile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := seqPlan.Estimate(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := concPlan.Estimate(30, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != conc {
-		t.Fatalf("engines disagree through Estimate: %+v vs %+v", seq, conc)
 	}
 }
 

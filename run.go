@@ -207,21 +207,14 @@ type Config struct {
 	// transmissions, deliveries, collisions). Single runs only; ignored
 	// by EstimateSuccess.
 	Trace io.Writer
-	// Concurrent runs the goroutine-per-node engine instead of the
-	// sequential one (identical results, slower; the model-faithful
-	// reference implementation).
-	Concurrent bool
-	// ScalarCore runs the engine's scalar reference round core instead of
-	// the word-parallel bitset core (identical results, slower; kept so
-	// the bitset core stays differentially testable end to end).
-	ScalarCore bool
-	// Core selects the engine core for Monte-Carlo estimation (Estimate,
-	// EstimateFrom, TallyShard). The default CoreAuto uses the
+	// Core selects the engine core, the one engine choice. The default
+	// CoreAuto estimates (Estimate, EstimateFrom, TallyShard) on the
 	// lane-transposed trial-parallel core — 64 trials per machine word —
 	// whenever the scenario supports it, falling back to the bitset core
 	// otherwise; all cores are proven bit-identical by the differential
-	// test matrix. Single runs (Plan.Run) always use the scalar/bitset
-	// engine, which is the only one that produces full per-run statistics.
+	// test matrix. Single runs (Plan.Run) always use a round core, which
+	// is the only kind that produces full per-run statistics: the scalar
+	// reference core under CoreScalar, the bitset core otherwise.
 	Core Core
 }
 
@@ -235,10 +228,12 @@ const (
 	CoreAuto Core = iota
 	// CoreBitset forces the word-parallel bitset round core.
 	CoreBitset
-	// CoreScalar forces the scalar reference round core.
+	// CoreScalar forces the scalar reference round core, for estimates
+	// and single runs alike (identical results, slower; kept so the
+	// bitset core stays differentially testable end to end).
 	CoreScalar
 	// CoreLanes forces the lane-transposed trial-parallel core; Compile
-	// fails if the scenario has no lane lowering (or Concurrent is set).
+	// fails if the scenario has no lane lowering.
 	CoreLanes
 )
 
@@ -283,10 +278,10 @@ func ParseCore(s string) (Core, error) {
 // bit-identical.
 //
 // Excluded on purpose: Trace (observation, not semantics) and the engine
-// selectors Concurrent, ScalarCore, and Core — the goroutine-per-node
-// engine, the scalar round core, and the lane-transposed trial-parallel
-// core are proven bit-identical to the default by the differential test
-// matrix, so they cannot change a result, only how fast it arrives. Seed
+// selector Core — the scalar round core and the lane-transposed
+// trial-parallel core are proven bit-identical to the default by the
+// differential test matrix, so they cannot change a result, only how
+// fast it arrives. Seed
 // IS included: results are deterministic in (config, seed), so different
 // seeds are different computations.
 func (cfg Config) CanonicalString() string {
@@ -365,9 +360,7 @@ func (e Estimate) String() string {
 // EstimateSuccess runs `trials` independent simulations (seeds Seed+i) in
 // parallel and estimates the success probability. It is a thin wrapper
 // over Compile + Plan.Estimate, so the scenario is compiled once for the
-// whole trial stream. Config.Concurrent is honored (it used to be
-// silently ignored here): when set, every trial runs on the slower
-// goroutine-per-node reference engine with bit-identical results.
+// whole trial stream.
 func EstimateSuccess(cfg Config, trials int) (Estimate, error) {
 	plan, err := Compile(cfg)
 	if err != nil {
@@ -421,16 +414,15 @@ func build(cfg Config) (simCfg *sim.Config, lanes *sim.LaneSpec, laneGate string
 		rounds = cfg.Rounds
 	}
 	simCfg = &sim.Config{
-		Graph:      cfg.Graph,
-		Model:      model,
-		Fault:      fault,
-		P:          cfg.P,
-		Source:     cfg.Source,
-		SourceMsg:  cfg.Message,
-		NewNode:    newNode,
-		Rounds:     rounds,
-		Seed:       cfg.Seed,
-		ScalarCore: cfg.ScalarCore,
+		Graph:     cfg.Graph,
+		Model:     model,
+		Fault:     fault,
+		P:         cfg.P,
+		Source:    cfg.Source,
+		SourceMsg: cfg.Message,
+		NewNode:   newNode,
+		Rounds:    rounds,
+		Seed:      cfg.Seed,
 	}
 	if fault == sim.Malicious || fault == sim.LimitedMalicious {
 		simCfg.Adversary = buildAdversary(cfg)
