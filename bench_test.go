@@ -516,6 +516,23 @@ func BenchmarkEstimatePlanComposedLanes(b *testing.B) {
 	benchEstimatePlan(b, laneCore(composedCfg()))
 }
 
+// BenchmarkTallyShard is the cluster worker's shard path: one 512-trial
+// shard of the Composed lanes plan, bucketed at the stop-rule batch of
+// 32, on GOMAXPROCS workers — the shape sweep-cluster workers run.
+func BenchmarkTallyShard(b *testing.B) {
+	plan, err := faultcast.Compile(laneCore(composedCfg()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if t := plan.TallyShard(uint64(i)*512, 512, 32, 0); len(t.Successes) != 16 {
+			b.Fatalf("%d buckets, want 16", len(t.Successes))
+		}
+	}
+}
+
 // BenchmarkEstimatePlanComposedLanesTraced is the telemetry-overhead
 // twin of BenchmarkEstimatePlanComposedLanes: the identical workload
 // with a live span and batch probe attached, the way the service runs it

@@ -287,7 +287,7 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 			req.BaseSeed = cell.BaseSeed + uint64(first)
 			req.Trials = n
 			req.Batch = min(batch, n)
-			go c.dispatchShard(cctx, req, cell.Trace, cell.NewTrial, resCh)
+			go c.dispatchShard(cctx, req, cell, resCh)
 			next++
 			inflight++
 		}
@@ -298,24 +298,11 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 		}
 		tallies[r.index] = &r.tally
 		for contig < nShards && tallies[contig] != nil {
-			// Inlined stat.Replay, bucket by bucket, so OnBatch observes
-			// exactly the consumed buckets — the deciding one included,
-			// the discarded speculation past it excluded — in the same
-			// trial order a local fold would report them.
-			t := tallies[contig]
-			for i, succ := range t.Successes {
-				size := t.Batch
-				if last := t.Trials - i*t.Batch; last < size {
-					size = last
-				}
-				run.Trials += size
-				run.Successes += succ
-				if cell.OnBatch != nil {
-					cell.OnBatch(size, succ)
-				}
-				if run.Trials >= cell.MaxTrials || (rule.Enabled() && rule.Done(run)) {
-					return run, true
-				}
+			// Replay each contiguous tally as it lands, so OnBatch observes
+			// exactly the consumed buckets, in trial order.
+			var done bool
+			if run, done = stat.Replay(run, cell.MaxTrials, rule, []stat.Tally{*tallies[contig]}, cell.OnBatch); done {
+				return run, true
 			}
 			contig++
 		}
@@ -329,15 +316,15 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 // dispatchShard executes one shard somewhere: each eligible worker is
 // tried at most once, failures re-route immediately, and when no worker
 // remains (all tried, down, or the fleet is empty) the shard runs locally
-// on the cell's own trial maker — bit-identical, since a tally is a pure
-// function of the shard spec.
+// on the cell's own trial and block makers — bit-identical, since a tally
+// is a pure function of the shard spec.
 //
 // When the cell carries a trace span, the shard gets one "shard" child
 // recording its trial range, the worker that finally answered (or
 // "local"), the retry count, and — grafted in — the worker's own span
 // tree from the ShardResponse.
-func (c *Coordinator) dispatchShard(ctx context.Context, req ShardRequest, parent *telemetry.Span, newTrial stat.TrialMaker, resCh chan<- shardRes) {
-	sp := parent.StartChild("shard")
+func (c *Coordinator) dispatchShard(ctx context.Context, req ShardRequest, cell *exec.Cell, resCh chan<- shardRes) {
+	sp := cell.Trace.StartChild("shard")
 	sp.SetAttr("index", req.Index)
 	sp.SetAttr("trials", req.Trials)
 	defer sp.End()
@@ -383,7 +370,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, req ShardRequest, paren
 	if retries > 0 {
 		sp.SetAttr("retries", retries)
 	}
-	resCh <- shardRes{index: req.Index, tally: exec.RunShard(c.opts.LocalWorkers, req.BaseSeed, req.Trials, req.Batch, newTrial)}
+	resCh <- shardRes{index: req.Index, tally: exec.RunShard(c.opts.LocalWorkers, req.BaseSeed, req.Trials, req.Batch, cell.NewTrial, cell.NewBlock)}
 }
 
 // acquire picks an eligible worker — not yet tried for this shard, not

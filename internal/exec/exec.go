@@ -1,15 +1,17 @@
 // Package exec schedules Monte-Carlo trial streams onto one bounded
 // worker pool shared across many concurrent estimation cells.
 //
-// This package is the only place boolean trial streams run in parallel.
-// A pool per estimate would make a parameter sweep over k cells pay k
-// pool lifecycles, and leave every cell's stragglers (the tail of a
-// batch, the wind-down after an early stop) holding up all other cells'
-// work. Instead, callers submit all cells at once, a single pool of
-// workers multiplexes across them, and the moment one cell's interval is
-// decided its workers flow to the cells still undecided. Intra-cell work
-// is still batched (stopping decisions happen only at batch boundaries),
-// but batches from different cells interleave freely.
+// This package is the only worker pool in the repo: boolean trials,
+// lane blocks, the cluster's shard tallies (RunShard) and the harness's
+// numeric measures all run on Run. A pool per estimate would make a
+// parameter sweep over k cells pay k pool lifecycles, and leave every
+// cell's stragglers (the tail of a batch, the wind-down after an early
+// stop) holding up all other cells' work. Instead, callers submit all
+// cells at once, a single pool of workers multiplexes across them, and
+// the moment one cell's interval is decided its workers flow to the
+// cells still undecided. Intra-cell work is still batched (stopping
+// decisions happen only at batch boundaries), but batches from different
+// cells interleave freely.
 //
 // Determinism contract — identical to stat.EstimateStreamFrom's: the
 // trials a cell executes are always a prefix of its seed sequence
@@ -62,19 +64,21 @@ type Cell struct {
 	Start stat.Proportion
 	// Rule is the early-stopping rule; the zero value runs all trials.
 	Rule stat.StopRule
-	// Bucket, when positive and Rule is disabled, folds trials in
-	// Bucket-sized batches instead of one whole-budget batch. Batch
-	// decomposition never changes an un-ruled result (there are no stop
-	// decisions, and success counting is order-free); it only sets the
-	// granularity OnBatch observes — a tally store persists un-ruled
-	// streams at the same bucket size ruled ones replay at. Ignored when
-	// Rule is enabled: the rule's own batch governs there.
+	// Bucket, when positive and Rule is disabled, sets the granularity
+	// OnBatch observes: the un-ruled cell still runs as one whole-budget
+	// batch (there are no stop decisions to wait for, so block claims
+	// are never clipped), but its successes are tallied per Bucket-sized
+	// run of trials from Start.Trials on, and the buckets go to OnBatch
+	// in trial order when the cell completes. A tally store persists
+	// un-ruled streams at the same bucket size ruled ones replay at.
+	// Ignored when Rule is enabled: the rule's own batch governs there.
 	Bucket int
 	// OnBatch, when non-nil, observes every batch the cell folds in, in
 	// trial order: the batch's own trial and success counts, called once
-	// per batch boundary before the stop decision, serialized per cell
+	// per batch boundary before the stop decision (for a bucketed
+	// un-ruled cell, once per bucket at completion), serialized per cell
 	// (under the scheduler lock — keep it cheap; buffer, don't block).
-	// Batches of a cell later abandoned by cancellation are still
+	// Batches of a ruled cell later abandoned by cancellation are still
 	// reported; consumers that persist must gate on cell completion.
 	// The resume prefix in Start is prior work, not a fold — it is never
 	// reported.
@@ -99,10 +103,11 @@ type Cell struct {
 	// NewBlock, when non-nil, builds a worker-private block-trial function
 	// whose verdicts are bit-identical to NewTrial's over the same seeds
 	// (the lane-transposed engine core). Workers then claim trials in
-	// stat.BlockWidth-sized chunks, clipped to batch boundaries — so batch
-	// totals, stop decisions, and the final Proportion are unchanged; only
-	// the per-trial cost drops. NewTrial must still be set: dispatchers
-	// without block support (and failover paths) fall back to it.
+	// stat.BlockWidth-sized chunks, clipped to a ruled cell's batch
+	// boundaries (an un-ruled cell is one batch, Bucket or not) — so
+	// batch totals, stop decisions, and the final Proportion are
+	// unchanged; only the per-trial cost drops. NewTrial must still be
+	// set: dispatchers without block support fall back to it.
 	NewBlock stat.TrialBlockMaker
 	// SharedKey, when non-empty, lets a worker reuse one Trial across all
 	// cells carrying the same key. Cells may share a key only when their
@@ -112,8 +117,8 @@ type Cell struct {
 	// Scenario is an opaque wire description of the cell's computation,
 	// consumed by remote Dispatchers (the cluster coordinator ships it to
 	// workers, which recompile the plan there). The in-process Dispatcher
-	// ignores it; NewTrial remains authoritative locally — including for a
-	// remote dispatcher's failover path.
+	// ignores it; NewTrial and NewBlock remain authoritative locally —
+	// including for a remote dispatcher's failover path.
 	Scenario any
 }
 
@@ -151,6 +156,9 @@ func Run(ctx context.Context, workers int, cells []Cell, onDone func(i int, p st
 			continue
 		}
 		cs.batchEnd = cs.next + batchSize(c, cs.trials)
+		if c.Bucket > 0 && c.OnBatch != nil && !c.Rule.Enabled() {
+			cs.buckets = make([]int, (cs.batchEnd-cs.next+c.Bucket-1)/c.Bucket)
+		}
 		if c.Probe != nil {
 			cs.opened = time.Now()
 		}
@@ -214,23 +222,17 @@ func EstimateCell(workers int, c Cell) stat.Proportion {
 // batchSize mirrors stat.StopRule's batching: with a stopping rule,
 // trials run in fixed batches (Rule.Batch, default 32) so the executed
 // count is machine-independent; without one, the whole remaining budget
-// is a single batch unless Cell.Bucket asks for observation granularity.
+// is a single batch (Cell.Bucket only splits how it is reported).
 func batchSize(c *Cell, trials int) int {
 	rest := c.MaxTrials - trials
-	b := c.Rule.Batch
 	if !c.Rule.Enabled() {
-		if c.Bucket <= 0 {
-			return rest
-		}
-		b = c.Bucket
+		return rest
 	}
+	b := c.Rule.Batch
 	if b <= 0 {
 		b = 32
 	}
-	if b > rest {
-		b = rest
-	}
-	return b
+	return min(b, rest)
 }
 
 // cellState is the scheduler-private progress of one cell. trials and
@@ -246,6 +248,9 @@ type cellState struct {
 	next      int // next unclaimed trial index
 	inflight  int // claimed, not yet reported
 	batchSucc int
+	// buckets, for a bucketed un-ruled cell with an OnBatch, holds the
+	// successes per Cell.Bucket trials from Start.Trials on; nil otherwise.
+	buckets []int
 	// Probe-only timing state: engineNs accumulates in-engine time of the
 	// open batch, opened is when it opened. Untouched without a Probe.
 	engineNs int64
@@ -314,10 +319,7 @@ func (s *sched) worker(w int) {
 		spec := cs.spec
 		claim := 1
 		if spec.NewBlock != nil {
-			claim = cs.batchEnd - cs.next
-			if claim > stat.BlockWidth {
-				claim = stat.BlockWidth
-			}
+			claim = min(cs.batchEnd-cs.next, stat.BlockWidth)
 		}
 		seedIdx := cs.next
 		cs.next += claim
@@ -332,14 +334,14 @@ func (s *sched) worker(w int) {
 		if spec.Probe != nil {
 			engStart = time.Now()
 		}
-		var succ int
+		var word uint64 // bit i = trial seedIdx+i succeeded
 		if spec.NewBlock != nil {
 			block := blocks[key]
 			if block == nil {
 				block = spec.NewBlock()
 				blocks[key] = block
 			}
-			succ = bits.OnesCount64(block(spec.BaseSeed+uint64(seedIdx), claim))
+			word = block(spec.BaseSeed+uint64(seedIdx), claim)
 		} else {
 			trial := trials[key]
 			if trial == nil {
@@ -347,7 +349,7 @@ func (s *sched) worker(w int) {
 				trials[key] = trial
 			}
 			if trial(spec.BaseSeed + uint64(seedIdx)) {
-				succ = 1
+				word = 1
 			}
 		}
 
@@ -358,12 +360,21 @@ func (s *sched) worker(w int) {
 
 		s.mu.Lock()
 		cs.inflight -= claim
-		cs.batchSucc += succ
+		cs.batchSucc += bits.OnesCount64(word)
 		cs.engineNs += engNs
+		if cs.buckets != nil {
+			cs.split(seedIdx, claim, word)
+		}
 		var finished *stat.Proportion
 		if cs.next == cs.batchEnd && cs.inflight == 0 {
 			// Batch boundary: fold it in and decide.
-			if spec.OnBatch != nil {
+			switch {
+			case cs.buckets != nil:
+				for k, succ := range cs.buckets {
+					first := spec.Start.Trials + k*spec.Bucket
+					spec.OnBatch(min(spec.Bucket, cs.batchEnd-first), succ)
+				}
+			case spec.OnBatch != nil:
 				spec.OnBatch(cs.batchEnd-cs.trials, cs.batchSucc)
 			}
 			if spec.Probe != nil {
@@ -403,5 +414,24 @@ func (s *sched) worker(w int) {
 		if finished != nil {
 			s.emit(ci, *finished)
 		}
+	}
+}
+
+// split adds a claim's verdict word — trials [first, first+n) — to the
+// Cell.Bucket-sized buckets those trials fall in, masking the word at
+// every bucket boundary it straddles.
+func (cs *cellState) split(first, n int, word uint64) {
+	size := cs.spec.Bucket
+	rel := first - cs.spec.Start.Trials
+	for off := 0; off < n; {
+		b := (rel + off) / size
+		lim := min((b+1)*size-rel, n)
+		mask := ^uint64(0)
+		if lim < 64 {
+			mask = 1<<uint(lim) - 1
+		}
+		mask &^= 1<<uint(off) - 1
+		cs.buckets[b] += bits.OnesCount64(word & mask)
+		off = lim
 	}
 }

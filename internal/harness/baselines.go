@@ -55,12 +55,12 @@ func RunB1(o Options) []*Table {
 			{"decay (randomized baseline)", decayProto.NewNode, decayProto.Rounds(40 + 8*tc.ng.g.Radius(tc.ng.src))},
 		}
 		for _, v := range variants {
-			mean, _, failed := stat.MeanStdWith(o.Trials, o.cellSeed(fmt.Sprintf("B1|%s|%s", tc.ng.g.Name(), v.name)), completionMeasure(&sim.Config{
+			mean, _, failed := completionStats(o.Trials, o.cellSeed(fmt.Sprintf("B1|%s|%s", tc.ng.g.Name(), v.name)), &sim.Config{
 				Graph: tc.ng.g, Model: sim.Radio, Fault: sim.Omission, P: p,
 				Source: tc.ng.src, SourceMsg: msg1,
 				NewNode: v.newNode, Rounds: v.rounds,
 				TrackCompletion: true,
-			}))
+			})
 			est := stat.Proportion{Successes: o.Trials - failed, Trials: o.Trials}
 			lo, hi := est.Wilson(1.96)
 			t.AddRow(tc.ng.g.Name(), v.name, v.rounds, fmt.Sprintf("%.0f", mean),

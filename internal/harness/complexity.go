@@ -39,12 +39,12 @@ func RunE7(o Options) []*Table {
 		proto := flooding.New(g, 0)
 		rounds := proto.Rounds(6)
 		var failures int
-		mean, std, failed := stat.MeanStdWith(o.Trials, o.cellSeed(fmt.Sprintf("E7|n=%d", n)), completionMeasure(&sim.Config{
+		mean, std, failed := completionStats(o.Trials, o.cellSeed(fmt.Sprintf("E7|n=%d", n)), &sim.Config{
 			Graph: g, Model: sim.MessagePassing, Fault: sim.Omission, P: p,
 			Source: 0, SourceMsg: msg1,
 			NewNode: proto.NewNode, Rounds: rounds,
 			TrackCompletion: true,
-		}))
+		})
 		failures = failed
 		d := float64(g.Radius(0))
 		x := d + math.Log2(float64(n))

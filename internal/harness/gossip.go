@@ -33,12 +33,12 @@ func RunG1(o Options) []*Table {
 			rounds := proto.Rounds(a)
 			full := gossip.FullDigest(n)
 			succ := 0
-			mean, _, failed := stat.MeanStdWith(o.Trials, o.cellSeed(fmt.Sprintf("G1|%s|p=%v", ng.g.Name(), p)), completionMeasure(&sim.Config{
+			mean, _, failed := completionStats(o.Trials, o.cellSeed(fmt.Sprintf("G1|%s|p=%v", ng.g.Name(), p)), &sim.Config{
 				Graph: ng.g, Model: sim.MessagePassing, Fault: sim.Omission, P: p,
 				Source: ng.src, SourceMsg: full,
 				NewNode: proto.NewNode, Rounds: rounds,
 				TrackCompletion: true,
-			}))
+			})
 			succ = o.Trials - failed
 			est := stat.Proportion{Successes: succ, Trials: o.Trials}
 			lo, hi := est.Wilson(1.96)

@@ -244,22 +244,30 @@ func bitTrial(mk func(msg []byte) *sim.Config, mapSeed func(uint64) uint64, won 
 	}
 }
 
-// completionMeasure adapts one cell to stat.MeanStdWith: each worker owns a
-// reusable runner; a trial yields its completion time (rounds) on success.
-func completionMeasure(cfg *sim.Config) func() stat.Measure {
-	return func() stat.Measure {
+// completionStats runs one cell's completion-time trials on the shared
+// exec pool — each worker owns a reusable runner — and returns the mean
+// and std of the successful trials' completion times (rounds) plus the
+// failed count. Each trial writes its rounds to the slot of its own seed,
+// so stat.MeanStd sums them in trial order, never in completion order.
+func completionStats(trials int, baseSeed uint64, cfg *sim.Config) (mean, std float64, failed int) {
+	rounds := make([]float64, trials) // 0: the trial failed
+	exec.EstimateCell(0, exec.Cell{MaxTrials: trials, BaseSeed: baseSeed, NewTrial: func() stat.Trial {
 		r := newRunner(cfg)
-		return func(seed uint64) (float64, bool) {
+		return func(seed uint64) bool {
 			res, err := r.Run(seed)
 			if err != nil {
 				panic(fmt.Sprintf("harness: %v", err))
 			}
-			if !res.Success {
-				return 0, false
+			if res.Success {
+				rounds[seed-baseSeed] = float64(res.CompletedRound + 1)
 			}
-			return float64(res.CompletedRound + 1), true
+			return res.Success
 		}
-	}
+	}})
+	return stat.MeanStd(trials, baseSeed, func(seed uint64) (float64, bool) {
+		v := rounds[seed-baseSeed]
+		return v, v > 0
+	})
 }
 
 // almostSafe is the paper's target success probability for an n-node graph.

@@ -1,8 +1,14 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"faultcast/internal/graph"
+	"faultcast/internal/protocols/flooding"
+	"faultcast/internal/sim"
+	"faultcast/internal/stat"
 )
 
 func quickOpts() Options {
@@ -155,5 +161,42 @@ func TestWindowHelpers(t *testing.T) {
 	}
 	if c := maliciousWindowC(0.6); c != 64 {
 		t.Fatalf("maliciousWindowC above 1/2 should cap, got %v", c)
+	}
+}
+
+// TestCompletionStatsMatchesSequential: completionStats runs on the exec
+// pool, but its mean, std and failed count must be bit-identical to a
+// sequential stat.MeanStd over one reused runner, on E7's line(16) cell —
+// at E7's round budget and at a short one that fails some trials.
+func TestCompletionStatsMatchesSequential(t *testing.T) {
+	g := graph.Line(16)
+	proto := flooding.New(g, 0)
+	seed := quickOpts().cellSeed("E7|n=16")
+	sawFailures := false
+	for _, rounds := range []int{proto.Rounds(6), g.Radius(0) + 2} {
+		cfg := &sim.Config{
+			Graph: g, Model: sim.MessagePassing, Fault: sim.Omission, P: 0.5,
+			Source: 0, SourceMsg: msg1,
+			NewNode: proto.NewNode, Rounds: rounds,
+			TrackCompletion: true,
+		}
+		r := newRunner(cfg)
+		wantMean, wantStd, wantFailed := stat.MeanStd(300, seed, func(s uint64) (float64, bool) {
+			res, err := r.Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return float64(res.CompletedRound + 1), res.Success
+		})
+		mean, std, failed := completionStats(300, seed, cfg)
+		if math.Float64bits(mean) != math.Float64bits(wantMean) ||
+			math.Float64bits(std) != math.Float64bits(wantStd) || failed != wantFailed {
+			t.Fatalf("rounds=%d: completionStats = (%v, %v, %d), sequential (%v, %v, %d)",
+				rounds, mean, std, failed, wantMean, wantStd, wantFailed)
+		}
+		sawFailures = sawFailures || failed > 0
+	}
+	if !sawFailures {
+		t.Fatal("no cell failed a trial: the failed path is untested")
 	}
 }

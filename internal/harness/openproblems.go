@@ -45,13 +45,13 @@ func RunOP1(o Options) []*Table {
 		g := graph.Caterpillar(sh.spine, sh.legs)
 		proto := streaming.New(g, 0, protocol.WindowCMalicious(p))
 		rounds := proto.Rounds(6)
-		mean, _, failed := stat.MeanStdWith(o.Trials, o.cellSeed("OP1|"+g.Name()), completionMeasure(&sim.Config{
+		mean, _, failed := completionStats(o.Trials, o.cellSeed("OP1|"+g.Name()), &sim.Config{
 			Graph: g, Model: sim.MessagePassing, Fault: sim.Malicious, P: p,
 			Source: 0, SourceMsg: msg1,
 			NewNode: proto.NewNode, Rounds: rounds,
 			Adversary:       adversary.Flip{Wrong: []byte("0")},
 			TrackCompletion: true,
-		}))
+		})
 		d := float64(g.Radius(0))
 		ds = append(ds, d)
 		times = append(times, mean)

@@ -45,13 +45,13 @@ func RunA4(o Options) []*Table {
 		}
 		for _, v := range variants {
 			succ := 0
-			meanDone, _, failed := stat.MeanStdWith(o.Trials, o.cellSeed(fmt.Sprintf("A4|%s|%s", ng.g.Name(), v.name)), completionMeasure(&sim.Config{
+			meanDone, _, failed := completionStats(o.Trials, o.cellSeed(fmt.Sprintf("A4|%s|%s", ng.g.Name(), v.name)), &sim.Config{
 				Graph: ng.g, Model: sim.MessagePassing, Fault: sim.Malicious, P: p,
 				Source: ng.src, SourceMsg: msg1,
 				NewNode: v.newNode, Rounds: v.rounds,
 				Adversary:       adversary.Flip{Wrong: []byte("0")},
 				TrackCompletion: true,
-			}))
+			})
 			succ = o.Trials - failed
 			est := stat.Proportion{Successes: succ, Trials: o.Trials}
 			lo, hi := est.Wilson(1.96)

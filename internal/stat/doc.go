@@ -7,11 +7,18 @@
 //
 // The trial types (Trial, TrialBlock and their makers) are defined here,
 // but parallel estimation lives in internal/exec, the one worker pool.
-// This package keeps only the sequential reference loops Estimate and
-// EstimateStreamFrom, which exec's tests use as their oracle.
+// This package keeps only sequential loops: the reference estimators
+// Estimate and EstimateStreamFrom, which exec's tests use as their
+// oracle, and MeanStd.
 //
 // # Invariants
 //
+//   - The package starts no goroutines: every loop here runs in trial
+//     order on the caller's goroutine, so MeanStd's floating-point sums
+//     never depend on which worker finished first.
+//   - Replay is the only merge of shard tallies: the cluster coordinator
+//     folds each contiguous tally through it, and its onBucket hook sees
+//     exactly the consumed buckets (TestReplayDiscardsSpeculation).
 //   - Estimates are a deterministic function of (maxTrials, baseSeed,
 //     rule): trials are assigned seeds baseSeed+i and stopping is checked
 //     only at fixed batch boundaries, so the executed trials are always a

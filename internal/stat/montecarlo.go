@@ -1,11 +1,6 @@
 package stat
 
-import (
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // Trial is one Monte-Carlo trial: it runs an experiment with the given
 // seed and reports success. Each trial derives all its randomness from
@@ -51,49 +46,19 @@ func Estimate(trials int, baseSeed uint64, trial Trial) Proportion {
 type Measure func(seed uint64) (value float64, ok bool)
 
 // MeanStd runs trials that produce a numeric measurement (e.g. broadcast
-// completion time) and returns the sample mean and standard deviation.
-// Trials returning ok=false (e.g. failed broadcasts with no completion
-// time) are excluded from the aggregate but counted in failed. The measure
-// function is shared by all workers and must be concurrency-safe; use
-// MeanStdWith when workers need private state.
+// completion time) one after another, with seeds baseSeed+0,
+// baseSeed+1, ..., and returns the sample mean and standard deviation,
+// summed in trial order. Trials returning ok=false (e.g. failed
+// broadcasts with no completion time) are excluded from the aggregate
+// but counted in failed. Parallel callers run the trials on the
+// internal/exec pool first and hand MeanStd a lookup of the results.
 func MeanStd(trials int, baseSeed uint64, measure Measure) (mean, std float64, failed int) {
-	return MeanStdWith(trials, baseSeed, func() Measure { return measure })
-}
-
-// MeanStdWith is MeanStd with per-worker measurement state: newMeasure is
-// called once per worker, and the resulting Measure is used by that worker
-// alone (so it may hold a reusable simulation runner).
-func MeanStdWith(trials int, baseSeed uint64, newMeasure func() Measure) (mean, std float64, failed int) {
-	var mu sync.Mutex
 	var values []float64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > trials {
-		workers = trials
+	for i := 0; i < trials; i++ {
+		if v, ok := measure(baseSeed + uint64(i)); ok {
+			values = append(values, v)
+		}
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			measure := newMeasure()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(trials) {
-					return
-				}
-				if v, ok := measure(baseSeed + uint64(i)); ok {
-					mu.Lock()
-					values = append(values, v)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	failed = trials - len(values)
 	if len(values) == 0 {
 		return 0, 0, failed

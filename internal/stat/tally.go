@@ -77,12 +77,15 @@ func (t Tally) Check() error {
 // the deciding boundary are discarded — they are speculative work a
 // coordinator dispatched before the decision was known, and counting them
 // would make the estimate depend on how much speculation happened.
+// onBucket, when non-nil, observes each consumed bucket in trial order —
+// the deciding one included, the discarded ones after it excluded — as
+// a local run's Cell.OnBatch would.
 //
 // For the replayed decisions to be bit-identical to a local run resumed
 // at start, the tallies must partition the local batch sequence: every
 // shard but the last must hold a multiple of the rule's batch size, each
 // bucketed at exactly that size (the coordinator enforces both).
-func Replay(start Proportion, maxTrials int, rule StopRule, tallies []Tally) (Proportion, bool) {
+func Replay(start Proportion, maxTrials int, rule StopRule, tallies []Tally, onBucket func(trials, successes int)) (Proportion, bool) {
 	p := start
 	if p.Trials >= maxTrials || (rule.Enabled() && rule.Done(p)) {
 		return p, true
@@ -95,6 +98,9 @@ func Replay(start Proportion, maxTrials int, rule StopRule, tallies []Tally) (Pr
 			}
 			p.Trials += size
 			p.Successes += s
+			if onBucket != nil {
+				onBucket(size, s)
+			}
 			if p.Trials >= maxTrials || (rule.Enabled() && rule.Done(p)) {
 				return p, true
 			}

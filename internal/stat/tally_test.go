@@ -39,7 +39,8 @@ func shardTallies(trial Trial, baseSeed uint64, start, maxTrials, shardTrials, b
 // statistics level: replaying per-batch shard tallies reproduces the exact
 // Proportion (successes AND executed trials) of the sequential stream, for
 // stopping rules of every kind, shard sizes that do and do not divide the
-// budget, and resumed starts.
+// budget, and resumed starts — and onBucket sees exactly the consumed
+// buckets, so they sum to the replayed Proportion.
 func TestReplayMatchesStream(t *testing.T) {
 	rules := map[string]StopRule{
 		"none":      {},
@@ -67,7 +68,14 @@ func TestReplayMatchesStream(t *testing.T) {
 					batch = shardTr
 				}
 				tallies := shardTallies(trial, 99, start.Trials, maxTrials, shardTr, batch)
-				got, done := Replay(start, maxTrials, rule, tallies)
+				seen := start
+				got, done := Replay(start, maxTrials, rule, tallies, func(trials, successes int) {
+					seen.Trials += trials
+					seen.Successes += successes
+				})
+				if seen != got {
+					t.Errorf("%s/shard=%d/start=%v: onBucket sums to %+v, replay %+v", name, shardTr, start, seen, got)
+				}
 				if !done {
 					t.Errorf("%s/shard=%d/start=%v: replay of the full budget not done", name, shardTr, start)
 				}
@@ -81,30 +89,36 @@ func TestReplayMatchesStream(t *testing.T) {
 
 func TestReplayStartAlreadyDecided(t *testing.T) {
 	start := Proportion{Successes: 90, Trials: 100}
-	p, done := Replay(start, 100, StopRule{}, nil)
+	p, done := Replay(start, 100, StopRule{}, nil, nil)
 	if !done || p != start {
 		t.Fatalf("exhausted start: got %+v done=%v", p, done)
 	}
-	p, done = Replay(start, 1000, StopRule{UseTarget: true, Target: 0.2}, nil)
+	p, done = Replay(start, 1000, StopRule{UseTarget: true, Target: 0.2}, nil, nil)
 	if !done || p != start {
 		t.Fatalf("decided start: got %+v done=%v", p, done)
 	}
 }
 
 // TestReplayDiscardsSpeculation: tallies past the deciding boundary must
-// not leak into the estimate.
+// not leak into the estimate, nor reach onBucket.
 func TestReplayDiscardsSpeculation(t *testing.T) {
 	rule := StopRule{HalfWidth: 0.5} // decided after the very first batch
 	tallies := []Tally{
 		{Trials: 64, Batch: 32, Successes: []int{30, 1}},
 		{Trials: 64, Batch: 32, Successes: []int{0, 0}},
 	}
-	p, done := Replay(Proportion{}, 1000, rule, tallies)
+	var seen [][2]int
+	p, done := Replay(Proportion{}, 1000, rule, tallies, func(trials, successes int) {
+		seen = append(seen, [2]int{trials, successes})
+	})
 	if !done {
 		t.Fatal("not done")
 	}
 	if p.Trials != 32 || p.Successes != 30 {
 		t.Fatalf("speculative buckets leaked: %+v", p)
+	}
+	if len(seen) != 1 || seen[0] != [2]int{32, 30} {
+		t.Fatalf("onBucket saw %v, want only the deciding bucket [32 30]", seen)
 	}
 }
 

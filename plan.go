@@ -296,9 +296,9 @@ func (p *Plan) EstimateFrom(prev Estimate, trials int, opts ...EstimateOption) (
 		Probe:     o.probe,
 	}
 	if rec != nil {
-		// Store granularity even without a rule: un-ruled streams fold in
-		// store-batch buckets (no stop decisions depend on it) so the
-		// persisted decomposition is shared with ruled requests.
+		// Store granularity even without a rule: un-ruled streams are
+		// reported in store-batch buckets (no stop decisions depend on
+		// it) so the persisted decomposition is shared with ruled requests.
 		cell.Bucket = rec.batch
 		cell.OnBatch = rec.observe
 	}
@@ -350,12 +350,7 @@ type ShardTally struct {
 // may re-run a dropped shard anywhere, even concurrently with a straggling
 // first attempt, and fold in whichever copy returns.
 func (p *Plan) TallyShard(baseSeed uint64, trials, batch, workers int) ShardTally {
-	var t stat.Tally
-	if newBlock := p.newBlockMaker(); newBlock != nil {
-		t = exec.RunShardBlocks(workers, baseSeed, trials, batch, newBlock)
-	} else {
-		t = exec.RunShard(workers, baseSeed, trials, batch, p.newTrialMaker())
-	}
+	t := exec.RunShard(workers, baseSeed, trials, batch, p.newTrialMaker(), p.newBlockMaker())
 	return ShardTally{Trials: t.Trials, Batch: t.Batch, Successes: t.Successes}
 }
 
